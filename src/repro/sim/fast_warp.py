@@ -21,6 +21,10 @@ the per-step interpretation overhead three ways:
   one vector op and feed segment sets to
   :func:`repro.memory.coalescing.coalesce_address_list`; address-disjoint
   atomics execute as gather/compute/scatter instead of a per-lane loop.
+  Immediate-address global ops are one bounds check and one scalar
+  access; atomics whose lanes collide run a lane-order read-modify-write
+  over Python ints; shared-memory loads/stores compute the bank-conflict
+  degree from a lane-address list.
 * **Superblock fusion.**  Decode also discovers maximal straight-line
   regions of ALU-class instructions (no branches, barriers, memory ops,
   or reconvergence points inside — :mod:`repro.isa.regions`) and a warp
@@ -31,10 +35,11 @@ the per-step interpretation overhead three ways:
   mask), ``sanitize=True`` and the non-burst issue path all fall back to
   per-instruction dispatch.
 
-Anything rare (shared/local memory, shuffles, votes, device-runtime calls,
-atomics with intra-warp address conflicts, immediate-base memory ops)
-delegates to the inherited reference handler, which keeps the two cores
-trivially identical where speed does not matter.
+Only cold or runtime-side ops delegate to the inherited reference
+handler: the device-runtime calls (``LAUNCH_*``, ``GET_PARAM_BUF``,
+``STREAM_CREATE``), local memory (``LDL``/``STL``), shuffles and votes,
+and operands the reference's unsafe casts define (a float immediate in
+an integer operand).
 
 Stat-exactness invariants worth keeping in mind when editing:
 
@@ -42,12 +47,16 @@ Stat-exactness invariants worth keeping in mind when editing:
   the same order ``np.unique`` gives the reference core — because DRAM
   bank/row state and the L2's LRU depend on access order.
 * The reference serializes conflicting atomic lanes in lane order; the
-  vectorized path therefore only handles all-distinct address sets.
+  vectorized path therefore only handles all-distinct address sets, and
+  colliding lanes keep one running value per word in lane order.
+* Every out-of-range check raises before any lane touches memory, with
+  the reference's message (its first bad lane, for atomics).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -522,13 +531,48 @@ def _make_read_special(instr):
     return run
 
 
+def _imm_addrs(w, frame, addr: int):
+    """Lane address list for an immediate-address global op.
+
+    Every active lane uses the same word, so the bounds check is one
+    compare and the list is ``frame[3]`` copies of ``addr``; returns
+    ``(alist, lo, hi)`` in :func:`_lane_addrs`'s form.  An empty lane
+    set is not checked, as in the reference."""
+    n = frame[3]
+    if not n:
+        return [], 0, -1
+    if addr < 0 or addr >= w._mem_size:
+        raise ExecutionError(
+            f"kernel {w.tb.func.name!r}: global access out of range "
+            f"(addr {addr}..{addr}, mem size {w._mem_size})"
+        )
+    return [addr] * n, addr, addr
+
+
 def _make_load(instr):
-    if type(instr.a) is not Reg:
-        return None
     is_float = instr.op == Opcode.FLD
     d = instr.dst.idx
-    base_idx = instr.a.idx
     off = instr.offset
+    if type(instr.a) is not Reg:
+        a = _enc_i(instr.a)
+        if a is None:
+            return None
+        addr = a[1] + off
+
+        def run_imm(w, frame, cycle):
+            alist, lo, hi = _imm_addrs(w, frame, addr)
+            if alist:
+                value = (w._mem_f if is_float else w._mem_i)[addr]
+                reg = (w.regs_f if is_float else w.regs_i)[d]
+                if frame[4]:
+                    reg[:] = value
+                else:
+                    reg[frame[2]] = value
+            _global_timing(w, alist, False, cycle, lo, hi)
+            return False
+
+        return run_imm
+    base_idx = instr.a.idx
 
     def run(w, frame, cycle):
         addrs, alist, lo, hi = _lane_addrs(w, frame, base_idx, off)
@@ -545,10 +589,7 @@ def _make_load(instr):
 
 
 def _make_store(instr):
-    if type(instr.a) is not Reg:
-        return None
     is_float = instr.op == Opcode.FST
-    base_idx = instr.a.idx
     off = instr.offset
     if is_float:
         sk, si, sv = _enc_f(instr.b)
@@ -558,9 +599,20 @@ def _make_store(instr):
             return None
         si, sv = b
         sk = None
+    if type(instr.a) is not Reg:
+        a = _enc_i(instr.a)
+        if a is None:
+            return None
+        addr = a[1] + off
+    else:
+        addr = None
+        base_idx = instr.a.idx
 
     def run(w, frame, cycle):
-        addrs, alist, lo, hi = _lane_addrs(w, frame, base_idx, off)
+        if addr is None:
+            addrs, alist, lo, hi = _lane_addrs(w, frame, base_idx, off)
+        else:
+            alist, lo, hi = _imm_addrs(w, frame, addr)
         if is_float:
             src = _fval(w, sk, si, sv)
             mem = w._mem_f
@@ -568,85 +620,222 @@ def _make_store(instr):
             src = w.regs_i[si] if si >= 0 else sv
             mem = w._mem_i
         if isinstance(src, np.ndarray):
-            mem[addrs] = src if frame[4] else src[frame[2]]
-        else:
-            mem[addrs] = src
+            src = src if frame[4] else src[frame[2]]
+            if addr is None:
+                mem[addrs] = src
+            elif alist:
+                # All lanes store to one word in lane order: the last
+                # active lane's value lands, as with the reference's
+                # repeated-index scatter.
+                mem[addr] = src[-1]
+        elif alist:
+            mem[addrs if addr is None else addr] = src
         _global_timing(w, alist, True, cycle, lo, hi)
         return False
 
     return run
 
 
+def _rmw_add(cur, value, new):
+    return cur + value
+
+
+def _rmw_min(cur, value, new):
+    return value if value < cur else cur
+
+
+def _rmw_max(cur, value, new):
+    return value if value > cur else cur
+
+
+def _rmw_or(cur, value, new):
+    return cur | value
+
+
+def _rmw_exch(cur, value, new):
+    return value
+
+
+def _rmw_cas(cur, value, new):
+    # b is the compare value, c the value swapped in.
+    return new if cur == value else cur
+
+
+#: Per-lane read-modify-write rules of the lane-serialised atomic path,
+#: written exactly as ``Warp._h_atomic`` applies them.
+_RMW = {
+    Opcode.ATOM_ADD: _rmw_add,
+    Opcode.ATOM_MIN: _rmw_min,
+    Opcode.ATOM_MAX: _rmw_max,
+    Opcode.ATOM_OR: _rmw_or,
+    Opcode.ATOM_EXCH: _rmw_exch,
+    Opcode.ATOM_CAS: _rmw_cas,
+}
+
+
 def _make_atomic(instr):
-    if type(instr.a) is not Reg:
-        return None
     op = instr.op
-    base_idx = instr.a.idx
+    rmw = _RMW[op]
     off = instr.offset
     d = instr.dst.idx if instr.dst is not None else -1
+    a = _enc_i(instr.a)
     b = _enc_i(instr.b)
-    if b is None:
+    c = _enc_i(instr.c) if instr.c is not None else (-1, 0)
+    if a is None or b is None or c is None:
         return None
+    ai, av = a
     bi, bv = b
-    if instr.c is not None:
-        c = _enc_i(instr.c)
-        if c is None:
-            return None
-        ci, cv = c
-    else:
-        ci, cv = -1, 0
-    ref_handler = _DISPATCH[op]
+    ci, cv = c
+    imm_addr = av + off
 
     def run(w, frame, cycle):
         full = frame[4]
         mask = frame[2]
-        base = w.regs_i[base_idx]
-        if not full:
-            base = base[mask]
-        addrs = base + off if off else base
-        alist = addrs.tolist()
-        if len(set(alist)) != len(alist):
-            # Intra-warp address conflict: the reference core serializes
-            # conflicting lanes in lane order; keep its exact semantics.
-            return ref_handler(w, instr, frame, mask, cycle)
+        if ai >= 0:
+            base = w.regs_i[ai]
+            if not full:
+                base = base[mask]
+            addrs = base + off if off else base
+            alist = addrs.tolist()
+        else:
+            addrs = None
+            alist = [imm_addr] * frame[3]
         if alist:
             lo = min(alist)
             hi = max(alist)
             if lo < 0 or hi >= w._mem_size:
                 # Cold path: report the first offending address in lane
-                # order, exactly as the reference core does.
-                for a in alist:
-                    if a < 0 or a >= w._mem_size:
+                # order, exactly as the reference core does, before any
+                # lane has touched memory.
+                for x in alist:
+                    if x < 0 or x >= w._mem_size:
                         raise ExecutionError(
-                            f"kernel {w.tb.func.name!r}: atomic out of range at {a}"
+                            f"kernel {w.tb.func.name!r}: atomic out of range at {x}"
                         )
         else:
             lo, hi = 0, -1
         mem = w._mem_i
-        old = mem[addrs]
-        if d >= 0:
-            if full:
-                w.regs_i[d][:] = old
+        if addrs is not None and len(set(alist)) == len(alist):
+            # Address-disjoint lanes commute: gather, compute, scatter.
+            old = mem[addrs]
+            if d >= 0:
+                if full:
+                    w.regs_i[d][:] = old
+                else:
+                    w.regs_i[d][mask] = old
+            if bi >= 0:
+                vals = w.regs_i[bi] if full else w.regs_i[bi][mask]
             else:
-                w.regs_i[d][mask] = old
-        if bi >= 0:
-            vals = w.regs_i[bi] if full else w.regs_i[bi][mask]
-        else:
-            vals = bv
-        if op == Opcode.ATOM_ADD:
-            mem[addrs] = old + vals
-        elif op == Opcode.ATOM_MIN:
-            mem[addrs] = np.minimum(old, vals)
-        elif op == Opcode.ATOM_MAX:
-            mem[addrs] = np.maximum(old, vals)
-        elif op == Opcode.ATOM_OR:
-            mem[addrs] = old | vals
-        elif op == Opcode.ATOM_EXCH:
-            mem[addrs] = vals
-        else:  # ATOM_CAS: b is compare, c is the new value
-            new = (w.regs_i[ci] if full else w.regs_i[ci][mask]) if ci >= 0 else cv
-            mem[addrs] = np.where(old == vals, new, old)
+                vals = bv
+            if op == Opcode.ATOM_ADD:
+                mem[addrs] = old + vals
+            elif op == Opcode.ATOM_MIN:
+                mem[addrs] = np.minimum(old, vals)
+            elif op == Opcode.ATOM_MAX:
+                mem[addrs] = np.maximum(old, vals)
+            elif op == Opcode.ATOM_OR:
+                mem[addrs] = old | vals
+            elif op == Opcode.ATOM_EXCH:
+                mem[addrs] = vals
+            else:  # ATOM_CAS: b is compare, c is the new value
+                new = (w.regs_i[ci] if full else w.regs_i[ci][mask]) if ci >= 0 else cv
+                mem[addrs] = np.where(old == vals, new, old)
+        elif alist:
+            # Lanes collide on a word: serialise them in lane order on
+            # Python ints, keeping one running value per word, then write
+            # each touched word back once.
+            ri = w.regs_i
+            bl = (ri[bi] if full else ri[bi][mask]).tolist() if bi >= 0 else repeat(bv)
+            cl = (ri[ci] if full else ri[ci][mask]).tolist() if ci >= 0 else repeat(cv)
+            words = {}
+            old = []
+            for x, cur, value, new in zip(alist, mem[alist].tolist(), bl, cl):
+                cur = words.get(x, cur)
+                old.append(cur)
+                words[x] = rmw(cur, value, new)
+            mem[list(words)] = list(words.values())
+            if d >= 0:
+                if full:
+                    w.regs_i[d][:] = old
+                else:
+                    w.regs_i[d][mask] = old
         _global_timing(w, alist, False, cycle, lo, hi)
+        return False
+
+    return run
+
+
+def _shared_degree(alist: list, lo: int, hi: int, banks: int) -> int:
+    """``Warp._shared_conflict_degree`` over a lane-address list.
+
+    Duplicate addresses broadcast; otherwise the degree is the maximum
+    count of distinct addresses per bank.  Addresses spanning fewer than
+    ``banks`` words (which includes a full broadcast) sit in distinct
+    banks, so they need no counting."""
+    if hi - lo < banks:
+        return 1
+    per_bank = {}
+    for x in set(alist):
+        bank = x % banks
+        per_bank[bank] = per_bank.get(bank, 0) + 1
+    return max(per_bank.values())
+
+
+def _make_shared(instr):
+    is_load = instr.op == Opcode.LDS
+    off = instr.offset
+    a = _enc_i(instr.a)
+    if a is None:
+        return None
+    ai, av = a
+    imm_addr = av + off
+    if is_load:
+        d = instr.dst.idx
+    else:
+        b = _enc_i(instr.b)
+        if b is None:
+            return None
+        si, sv = b
+
+    def run(w, frame, cycle):
+        shared = w.tb.shared
+        if ai >= 0:
+            base = w.regs_i[ai]
+            if not frame[4]:
+                base = base[frame[2]]
+            addrs = base + off if off else base
+            alist = addrs.tolist()
+        else:
+            addrs = imm_addr
+            alist = [imm_addr] * frame[3]
+        if alist:
+            lo = min(alist)
+            hi = max(alist)
+            if lo < 0 or hi >= shared.size:
+                raise ExecutionError(
+                    f"kernel {w.tb.func.name!r}: shared access out of range "
+                    f"(addr {lo}..{hi}, shared words {shared.size})"
+                )
+            if is_load:
+                reg = w.regs_i[d]
+                if frame[4]:
+                    reg[:] = shared[addrs]
+                else:
+                    reg[frame[2]] = shared[addrs]
+            else:
+                src = w.regs_i[si] if si >= 0 else sv
+                if isinstance(src, np.ndarray):
+                    src = src if frame[4] else src[frame[2]]
+                    if ai < 0:
+                        # One word, lanes in order: the last lane's value lands.
+                        src = src[-1]
+                shared[addrs] = src
+        else:
+            lo, hi = 0, -1
+        cfg = w._cfg
+        w.ready_cycle = cycle + cfg.shared_latency * _shared_degree(
+            alist, lo, hi, cfg.shared_banks
+        )
         return False
 
     return run
@@ -767,6 +956,8 @@ _BUILDERS = {
     Opcode.ATOM_OR: _make_atomic,
     Opcode.ATOM_EXCH: _make_atomic,
     Opcode.ATOM_CAS: _make_atomic,
+    Opcode.LDS: _make_shared,
+    Opcode.STS: _make_shared,
     Opcode.BRA: _make_bra,
     Opcode.JOIN: _make_join,
     Opcode.NOP: _make_join,
@@ -790,7 +981,7 @@ def _make_ref(instr, handler):
 # Opcodes that may live inside a fused region: pure ALU/SFU register ops
 # with a fixed latency class and no control flow, no memory-system
 # timing, no barrier and no device-runtime side effects.  Loads/stores
-# and atomics are excluded even when natively decoded: their latency
+# and atomics are excluded even though natively decoded: their latency
 # depends on DRAM/L2 state, and coalescing stats must accrue at the
 # exact per-instruction issue order the scheduler would produce.
 # ----------------------------------------------------------------------
@@ -829,7 +1020,7 @@ _SFU_OPS = frozenset({Opcode.IDIV, Opcode.IMOD, Opcode.FDIV, Opcode.FSQRT})
 #: native closure).
 _PRIVATE_OPS = _FUSABLE_OPS | {Opcode.BRA, Opcode.JOIN, Opcode.NOP}
 
-#: Global-memory opcodes with native closures: shared DRAM/L2 state, so
+#: Global-memory opcodes (all natively decoded): shared DRAM/L2 state, so
 #: a run-ahead window may only execute one *in global time order* — and
 #: then only while its SMX is the sole runnable one (sensitive ops on
 #: other SMXs are bounded by the burst horizon, not by this SMX's heap).
@@ -880,8 +1071,9 @@ def decode_program(program) -> tuple:
     (native closure, opcode in :data:`_PRIVATE_OPS`), 2 = native
     global-memory op (:data:`_MEM_OPS`; run-ahead may inline it in
     global time order under the scheduler heap's bound), 0 = everything
-    else (barriers, exits, launches, reference fallbacks — run-ahead
-    always stops before these).  ``region`` is the :class:`FusedRegion`
+    else (barriers, exits, launches, shared memory — which other warps
+    of the block see — and reference fallbacks; run-ahead always stops
+    before these).  ``region`` is the :class:`FusedRegion`
     starting at this pc, or ``None`` — carried in the row so the hot
     window loops pay one table fetch instead of a separate dict probe
     per instruction.  ``regions`` maps each start pc to its region

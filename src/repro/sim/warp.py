@@ -555,16 +555,19 @@ class Warp:
         op = instr.op
         bvals = self._val_i(instr.b)
         cvals = self._val_i(instr.c) if instr.c is not None else None
-        old = np.zeros(WARP_SIZE, dtype=np.int64)
-        active_addrs = np.empty(lanes.size, dtype=np.int64)
-        for pos, lane in enumerate(lanes):
-            addr = int(addrs_full[lane]) if isinstance(addrs_full, np.ndarray) else int(addrs_full)
-            addr += instr.offset
+        if isinstance(addrs_full, np.ndarray):
+            addrs = [int(addrs_full[lane]) + instr.offset for lane in lanes]
+        else:
+            addrs = [int(addrs_full) + instr.offset] * lanes.size
+        # Validate every active lane before any lane touches memory, so a
+        # fault leaves memory as it was.
+        for addr in addrs:
             if addr < 0 or addr >= self._mem_size:
                 raise ExecutionError(
                     f"kernel {self.tb.func.name!r}: atomic out of range at {addr}"
                 )
-            active_addrs[pos] = addr
+        old = np.zeros(WARP_SIZE, dtype=np.int64)
+        for addr, lane in zip(addrs, lanes):
             value = int(bvals[lane]) if isinstance(bvals, np.ndarray) else int(bvals)
             current = int(mem[addr])
             old[lane] = current
@@ -586,7 +589,7 @@ class Warp:
                     mem[addr] = new
         if instr.dst is not None:
             self._write_i(instr.dst, old, mask)
-        self._memory_timing(active_addrs, False, cycle)
+        self._memory_timing(np.asarray(addrs, dtype=np.int64), False, cycle)
         return False
 
     # ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Failure injection: error paths must fail loudly and informatively."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from repro.errors import (
 )
 
 from tests.helpers import make_device
+
+WARP = 32
 
 
 class TestMemoryFaults:
@@ -54,6 +58,27 @@ class TestMemoryFaults:
         dev.launch("atof", grid=1, block=32)
         with pytest.raises(ExecutionError, match="atomic"):
             dev.synchronize()
+
+    def test_atomic_fault_leaves_memory_identical_across_cores(self):
+        """31 in-range lanes and one wild lane: every core raises the
+        same message before any lane has updated memory."""
+        outcomes = []
+        for core in ("reference", "fast", "vector"):
+            dev = make_device(config=dataclasses.replace(GPUConfig.k20c(), core=core))
+            buf = dev.alloc(WARP)
+            k = KernelBuilder("atof_lane")
+            tid = k.tid()
+            addr = k.selp(k.eq(tid, WARP - 1), 1 << 40, k.iadd(k.ld(k.param()), tid))
+            k.atom_add(addr, 1)
+            k.exit()
+            dev.register(KernelFunction("atof_lane", k.build()))
+            dev.launch("atof_lane", grid=1, block=WARP, params=[buf])
+            with pytest.raises(ExecutionError, match="atomic out of range") as info:
+                dev.synchronize()
+            outcomes.append((str(info.value), buf.download().tolist()))
+        assert outcomes[0][1] == [0] * WARP
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
 
     def test_device_memory_exhaustion(self):
         dev = Device(memory_words=4096)
