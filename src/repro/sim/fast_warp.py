@@ -32,8 +32,10 @@ the per-step interpretation overhead three ways:
   <repro.sim.smx.SMX.burst>` window runs a whole region in one call
   (:meth:`FastWarp.step_window`), charging the exact per-instruction
   cycles and stats of unfused execution.  Divergent entry (partial
-  mask), ``sanitize=True`` and the non-burst issue path all fall back to
-  per-instruction dispatch.
+  mask) and the non-burst issue path fall back to per-instruction
+  dispatch.  The sanitizer checks only memory, barrier and launch ops,
+  so it keeps fusion and run-ahead and is called for decode klass 0
+  and 2 only.
 
 Only cold or runtime-side ops delegate to the inherited reference
 handler: the device-runtime calls (``LAUNCH_*``, ``GET_PARAM_BUF``,
@@ -1190,7 +1192,7 @@ class FastWarp(Warp):
             frame = stack[-1]
         pc = frame[0]
         try:
-            run, op, _, _ = self._table[pc]
+            run, op, klass, _ = self._table[pc]
         except IndexError:
             raise ExecutionError(
                 f"warp ran off the end of kernel {self.tb.func.name!r} at pc={pc}"
@@ -1201,7 +1203,7 @@ class FastWarp(Warp):
         tracer = self._gpu.tracer
         if tracer is not None:
             tracer.on_issue(self, pc, op, frame[3], cycle)
-        if self._san is not None:
+        if self._san is not None and klass != 1:
             self._san.observe(self, pc, self._instrs[pc], frame[2], cycle)
         if not run(self, frame, cycle):
             frame[0] = pc + 1
@@ -1224,10 +1226,10 @@ class FastWarp(Warp):
         Within a window, a full-mask warp entering a decoded
         :class:`FusedRegion` whose whole duration fits under the bound
         executes the region in one call, charging identical
-        per-instruction stats and tracer callbacks (fusion is skipped
-        under the sanitizer: its one-``observe()``-per-step contract
-        needs the per-instruction path).  Everything else single-steps
-        with exact synthesized issue cycles.
+        per-instruction stats and tracer callbacks (the sanitizer checks
+        no warp-private op, so fusion needs no ``observe()`` call).
+        Everything else single-steps with exact synthesized issue
+        cycles.
 
         Returns the issue cycle of the last executed instruction; the
         caller advances ``gpu.cycle`` and the occupancy integral to it.
@@ -1244,7 +1246,7 @@ class FastWarp(Warp):
         # (latency >= 1); degenerate zero-latency configs single-step.
         # (Rows carry a region only when the decode found one, so no
         # separate regions-present check is needed.)
-        fuse = san is None and alu_lat >= 1 and sfu_lat >= 1
+        fuse = alu_lat >= 1 and sfu_lat >= 1
         stack = self.stack
         last = cycle
         # The window bound is invariant across private and memory ops:
@@ -1302,7 +1304,7 @@ class FastWarp(Warp):
                 lanes += frame[3]
                 if tracer is not None:
                     tracer.on_issue(self, pc, op, frame[3], cycle)
-                if san is not None:
+                if san is not None and klass != 1:
                     san.observe(self, pc, instrs[pc], frame[2], cycle)
                 if not run(self, frame, cycle):
                     frame[0] = pc + 1
@@ -1356,9 +1358,14 @@ class FastWarp(Warp):
         * GTO scheduling — warp ages are never rewritten, so running
           this warp's ops out of global issue order cannot perturb the
           heap's tie-breaking;
-        * no tracer and no sanitizer — both observe the global
-          interleaving, which run-ahead reorders (per-instruction cycles
-          stay exact, only callback order changes);
+        * no tracer — it observes the global interleaving, which
+          run-ahead reorders (per-instruction cycles stay exact, only
+          callback order changes).  A sanitizer is fine: it checks only
+          klass-0 and klass-2 ops, and the window runs those in global
+          order (a klass-0 op only as the first op, popped in reference
+          order; a klass-2 op only strictly before the heap head and
+          the next event), so it sees every checked op at the reference
+          cycle and in the reference order;
         * ``alu_latency >= 1`` and ``sfu_latency >= 1`` — private ops
           then always advance time, so at most one issue per cycle can
           bypass the caller's per-pop budget counting.
@@ -1395,6 +1402,8 @@ class FastWarp(Warp):
         """
         stats = self._stats
         table = self._table
+        san = self._san
+        instrs = self._instrs
         alu_lat = self._alu_lat
         sfu_lat = self._sfu_lat
         stack = self.stack
@@ -1430,8 +1439,9 @@ class FastWarp(Warp):
                         f"at pc={pc}"
                     ) from None
                 if region is not None and frame[4]:
-                    # Preconditions already guarantee no sanitizer and
-                    # latencies >= 1, so a row-carried region always fuses.
+                    # Preconditions already guarantee latencies >= 1, so a
+                    # row-carried region always fuses (its ops are all
+                    # warp-private: nothing for a sanitizer to observe).
                     end = cycle + region.n_alu * alu_lat + region.n_sfu * sfu_lat
                     if end <= hard:
                         n = region.length
@@ -1465,6 +1475,8 @@ class FastWarp(Warp):
                         return last
                 issued += 1
                 lanes += frame[3]
+                if san is not None and klass != 1:
+                    san.observe(self, pc, instrs[pc], frame[2], cycle)
                 if not run(self, frame, cycle):
                     frame[0] = pc + 1
                 last = cycle

@@ -426,12 +426,13 @@ class GPU:
         width = cfg.issue_width
         round_robin = cfg.warp_scheduler == "rr"
         # Budget-safe run-ahead preconditions (see FastWarp.step_free_window):
-        # GTO ages, no interleaving observers, and op latencies that always
-        # advance time so per-pop budget counting stays exact.
+        # GTO ages, no tracer (it observes the global interleaving; the
+        # sanitizer only sees ops run-ahead keeps in global order), and op
+        # latencies that always advance time so per-pop budget counting
+        # stays exact.
         free_ok = (
             not round_robin
             and self.tracer is None
-            and self.sanitizer is None
             and cfg.alu_latency >= 1
             and cfg.sfu_latency >= 1
         )

@@ -6,11 +6,24 @@ equivalents — so the simulator needs a net that catches workloads (or
 future core changes) that silently corrupt memory, deadlock a barrier or
 launch malformed device-side grids.  When :attr:`repro.config.GPUConfig.sanitize`
 is set (or the ``REPRO_SANITIZE`` environment variable is non-empty), a
-:class:`Sanitizer` is attached to the GPU and observes every issued
-instruction in *both* execution cores through one hook per
-``Warp.step`` / ``FastWarp.step``.  Because both cores issue the same
-instruction stream at the same cycles (they are stat-exact by
-construction), the sanitizer produces identical findings under either.
+:class:`Sanitizer` is attached to the GPU.  Every execution core calls
+its :meth:`~Sanitizer.observe` hook at the issue cycle of each op it
+checks: global and shared memory, ``BAR`` and device launches.  The
+fast core skips warp-private ops, which are never checked, so sanitized
+runs keep superblock fusion and run-ahead.  Because all cores issue the
+checked ops in the same order at the same cycles (they are stat-exact
+by construction), the sanitizer produces identical findings under any.
+
+Shadow state and the clean-access proof
+---------------------------------------
+Each global word has one flags byte (``_flags``, the ``_F_*`` bits) and
+last-writer / last-reader fields.  Most loads and atomics are proven
+clean from one gather of the flags, in the spirit of FastTrack's
+same-epoch fast path: every word addressable, plus for a plain load
+every word initialized and no plain device write after the block's
+launch/acquire horizon.  A proven access applies exactly the full
+check's shadow update; anything unproven, and every store, takes the
+full check, which emits every finding.
 
 Detectors
 ---------
@@ -91,7 +104,6 @@ from ..config import WARP_SIZE
 from ..isa.instructions import (
     ATOMIC_OPS,
     Bank,
-    GLOBAL_MEMORY_OPS,
     GLOBAL_WRITE_OPS,
     Opcode,
     Reg,
@@ -102,11 +114,35 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .thread_block import ThreadBlock
     from .warp import Warp
 
-#: Shadow "no block" / host sentinel in the writer/reader block fields.
-_HOST = 0
-
 #: Plain (non-atomic) global loads.
 _PLAIN_READS = frozenset({Opcode.LD, Opcode.FLD})
+
+# Bits of the per-word flags byte (``Sanitizer._flags``).  A word's last
+# writer is the host or nobody (no writer bit), a plain device store
+# (``_F_W_PLAIN``, the writer race gate) or an atomic (``_F_W_ATOMIC``;
+# this bit outlives a host write or re-allocation, as the acquire rule
+# reads it whoever wrote last).  The reader bits mirror them.
+_F_ADDR = 1  # inside a live allocation
+_F_FREED = 2  # inside a freed allocation
+_F_INIT = 4  # written by a device store, an atomic or the host
+_F_W_PLAIN = 8
+_F_W_ATOMIC = 16
+_F_R_PLAIN = 32
+_F_R_ATOMIC = 64
+
+#: What a clean plain load needs of every word it reads.
+_F_LOADABLE = _F_ADDR | _F_INIT
+
+# The flags-byte update of each access class as a 256-entry table (one
+# gather instead of two ufuncs).  A plain read, plain write or atomic
+# rewrites the last-reader and/or last-writer class bits and leaves the
+# others; writes and atomics also initialize the word.
+_BYTES = np.arange(256)
+_AFTER_READ = (_BYTES & ~_F_R_ATOMIC | _F_R_PLAIN).astype(np.uint8)
+_AFTER_WRITE = (_BYTES & ~_F_W_ATOMIC | _F_W_PLAIN | _F_INIT).astype(np.uint8)
+_AFTER_ATOMIC = (
+    _BYTES & ~(_F_W_PLAIN | _F_R_PLAIN) | _F_W_ATOMIC | _F_R_ATOMIC | _F_INIT
+).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -161,6 +197,15 @@ class SanitizerFinding:
             lanes=tuple(data["lanes"]),
             detail=data["detail"],
         )
+
+
+def _repeated(addrs: np.ndarray) -> np.ndarray:
+    """The addresses that occur more than once in ``addrs``, ascending."""
+    ordered = np.sort(addrs)
+    dup = ordered[1:] == ordered[:-1]
+    if not dup.any():
+        return ordered[:0]
+    return np.unique(ordered[1:][dup])
 
 
 class SanitizerReport:
@@ -240,24 +285,29 @@ class Sanitizer:
         self._gpu = gpu
         self.report = SanitizerReport()
         n = gpu.memory.size_words
-        # Per-word allocator shadow.  np.zeros is calloc-backed, so pages
-        # for untouched regions of the (virtual) address space stay lazy.
-        self._addressable = np.zeros(n, dtype=bool)
-        self._freed = np.zeros(n, dtype=bool)
-        self._init = np.zeros(n, dtype=bool)
+        self._size = n
+        # Per-word flags byte (the ``_F_*`` bits): allocator state plus
+        # the atomic/plain-device class of the last writer and reader.
+        # One extra, always-zero sentinel word at index ``n`` lets a
+        # clipped gather (``take(mode="clip")``) double as the bounds
+        # check: negative addresses clip to word 0 and addresses past the
+        # end to the sentinel, neither of which is ever addressable.
+        # np.zeros is calloc-backed, so pages for untouched regions of
+        # the (virtual) address space stay lazy.
+        self._flags = np.zeros(n + 1, dtype=np.uint8)
         # Per-word last-writer / last-reader shadow.  Thread fields hold
         # block-linear thread id + 1 (0 = none); block fields hold the
-        # accessor's block uid (0 = none / host).
+        # accessor's block uid.  All are read only under the word's
+        # plain-device writer/reader bit, so allocation and host writes
+        # clear the bits and leave the fields stale.
         self._w_block = np.zeros(n, dtype=np.int32)
         self._w_thread = np.zeros(n, dtype=np.int32)
         self._w_epoch = np.zeros(n, dtype=np.int32)
-        self._w_atomic = np.zeros(n, dtype=bool)
         self._w_cycle = np.zeros(n, dtype=np.int64)
         self._w_value = np.zeros(n, dtype=np.float64)
         self._r_block = np.zeros(n, dtype=np.int32)
         self._r_thread = np.zeros(n, dtype=np.int32)
         self._r_epoch = np.zeros(n, dtype=np.int32)
-        self._r_atomic = np.zeros(n, dtype=bool)
         self._r_cycle = np.zeros(n, dtype=np.int64)
         # Per-block tables, indexed by block uid (uid 0 = host sentinel).
         cap = 1024
@@ -273,25 +323,24 @@ class Sanitizer:
     # Memory-allocator observer protocol (GlobalMemory.observer)
     # ------------------------------------------------------------------
     def on_alloc(self, base: int, words: int) -> None:
-        end = base + words
-        self._addressable[base:end] = True
-        self._freed[base:end] = False
-        self._init[base:end] = False
-        self._w_block[base:end] = _HOST
-        self._r_block[base:end] = _HOST
+        # Addressable, not freed, uninitialized, host last writer/reader;
+        # the atomic bits survive (a plain read of a word whose last
+        # writer was atomic still acquires).
+        flags = self._flags[base:min(base + words, self._size)]
+        flags &= _F_W_ATOMIC | _F_R_ATOMIC
+        flags |= _F_ADDR
 
     def on_free(self, base: int, words: int) -> None:
-        end = base + words
-        self._addressable[base:end] = False
-        self._freed[base:end] = True
+        flags = self._flags[base:min(base + words, self._size)]
+        flags &= ~_F_ADDR & 0xFF
+        flags |= _F_FREED
 
     def on_host_write(self, base: int, words: int) -> None:
         # Host writes happen while the device is idle: they initialize the
         # range and reset the race shadow (host access orders everything).
-        end = base + words
-        self._init[base:end] = True
-        self._w_block[base:end] = _HOST
-        self._r_block[base:end] = _HOST
+        flags = self._flags[base:min(base + words, self._size)]
+        flags &= ~(_F_W_PLAIN | _F_R_PLAIN) & 0xFF
+        flags |= _F_INIT
 
     # ------------------------------------------------------------------
     # Block lifecycle (SMX hooks)
@@ -366,18 +415,13 @@ class Sanitizer:
         )
 
     # ------------------------------------------------------------------
-    # Per-instruction hook (both cores call this from step())
+    # Per-instruction hook (both cores call this for every issued op
+    # they can check: global and shared memory, BAR and launches)
     # ------------------------------------------------------------------
     def observe(self, warp: "Warp", pc: int, instr, mask: np.ndarray, cycle: int) -> None:
-        op = instr.op
-        if op in GLOBAL_MEMORY_OPS:
-            self._check_global(warp, pc, instr, mask, cycle)
-        elif op is Opcode.LDS or op is Opcode.STS:
-            self._check_shared(warp, pc, instr, mask, cycle)
-        elif op is Opcode.BAR:
-            self._check_bar(warp, pc, mask, cycle)
-        elif op is Opcode.LAUNCH_DEVICE or op is Opcode.LAUNCH_AGG:
-            self._check_launch(warp, pc, instr, mask, cycle)
+        check = _OBSERVERS.get(instr.op)
+        if check is not None:
+            check(self, warp, pc, instr, mask, cycle)
 
     # ------------------------------------------------------------------
     def _lane_values(self, warp: "Warp", operand, lanes: np.ndarray) -> np.ndarray:
@@ -407,8 +451,105 @@ class Sanitizer:
             )
         )
 
+    # ------------------------------------------------------------------
+    # Clean-access proofs for loads and atomics
+    #
+    # Each proof reads the flags of the accessed words once and succeeds
+    # only when the full check (:meth:`_check_global`) provably finds
+    # nothing: every word addressable (which also proves it in bounds,
+    # see ``_flags``), plus, for a plain load, every word initialized and
+    # no plain device writer after ``max(block start, last acquire)``.
+    # A proven access then applies exactly the full check's shadow
+    # update; anything unproven runs the full check, which reports.
+    # ------------------------------------------------------------------
+    def _observe_load(self, warp, pc, instr, mask, cycle) -> None:
+        lanes = mask.nonzero()[0]
+        if lanes.size == 0:
+            return
+        access = self._access(warp, instr, lanes)
+        if access is None:
+            self._check_global(warp, pc, instr, mask, cycle)
+            return
+        addrs, f, every, seen, tid1 = access
+        if every & _F_LOADABLE != _F_LOADABLE:
+            self._check_global(warp, pc, instr, mask, cycle)
+            return
+        uid = warp.tb.san_uid
+        if seen & _F_W_PLAIN:
+            late = self._w_cycle[addrs] > max(
+                int(self._start[uid]), int(self._fence[uid])
+            )
+            if np.any(late & (f & _F_W_PLAIN != 0)):
+                self._check_global(warp, pc, instr, mask, cycle)
+                return
+        self._r_block[addrs] = uid
+        self._r_thread[addrs] = tid1
+        self._r_epoch[addrs] = self._epochs.get(uid, 0)
+        self._r_cycle[addrs] = cycle
+        self._flags[addrs] = _AFTER_READ[f]
+        if seen & _F_W_ATOMIC:
+            self._fence[uid] = cycle
+
+    def _observe_atomic(self, warp, pc, instr, mask, cycle) -> None:
+        # Atomics skip both race checks and the uninit check: addressable
+        # words are all the proof needs.
+        lanes = mask.nonzero()[0]
+        if lanes.size == 0:
+            return
+        access = self._access(warp, instr, lanes)
+        if access is None or not access[2] & _F_ADDR:
+            self._check_global(warp, pc, instr, mask, cycle)
+            return
+        addrs, f, _, _, tid1 = access
+        uid = warp.tb.san_uid
+        epoch = self._epochs.get(uid, 0)
+        self._w_block[addrs] = uid
+        self._w_thread[addrs] = tid1
+        self._w_epoch[addrs] = epoch
+        self._w_cycle[addrs] = cycle
+        self._r_block[addrs] = uid
+        self._r_thread[addrs] = tid1
+        self._r_epoch[addrs] = epoch
+        self._r_cycle[addrs] = cycle
+        self._flags[addrs] = _AFTER_ATOMIC[f]
+        self._fence[uid] = cycle
+
+    def _access(self, warp, instr, lanes):
+        """``(words, flags, AND of flags, OR of flags, thread ids + 1)``
+        of one global access by ``lanes``, or ``None`` when its immediate
+        address is outside memory (or not an int).
+
+        A register address gives arrays over the lanes.  An immediate
+        one gives scalars: every lane hits one word, and the full
+        check's fancy assignment leaves the last active lane's thread id.
+        """
+        operand = instr.a
+        if type(operand) is Reg:
+            addrs = warp.regs_i[operand.idx][lanes]
+            if instr.offset:
+                addrs += instr.offset
+            f = self._flags.take(addrs, mode="clip")
+            return (
+                addrs,
+                f,
+                np.bitwise_and.reduce(f),
+                int(np.bitwise_or.reduce(f)),
+                lanes + (warp.warp_index * WARP_SIZE + 1),
+            )
+        value = operand.value
+        if type(value) is not int:
+            return None
+        a = value + instr.offset
+        if not 0 <= a < self._size:
+            return None
+        f = int(self._flags[a])
+        return a, f, f, f, warp.warp_index * WARP_SIZE + int(lanes[-1]) + 1
+
+    # ------------------------------------------------------------------
     def _check_global(self, warp, pc, instr, mask, cycle) -> None:
-        lanes = np.flatnonzero(mask)
+        """Full check of one global access: every detector, then the
+        shadow update."""
+        lanes = mask.nonzero()[0]
         if lanes.size == 0:
             return
         addrs = self._lane_values(warp, instr.a, lanes) + instr.offset
@@ -418,7 +559,7 @@ class Sanitizer:
         is_read = not is_write or atomic  # atomics read-modify-write
 
         # Hard bounds (the execution core raises right after us for these).
-        inb = (addrs >= 0) & (addrs < self._addressable.size)
+        inb = (addrs >= 0) & (addrs < self._size)
         if not inb.all():
             bad = np.flatnonzero(~inb)[0]
             self._emit(
@@ -431,10 +572,11 @@ class Sanitizer:
                 return
 
         # Live-range check: OOB vs use-after-free.
-        live = self._addressable[addrs]
+        f = self._flags[addrs]
+        live = (f & _F_ADDR) != 0
         if not live.all():
             dead = ~live
-            freed = self._freed[addrs] & dead
+            freed = ((f & _F_FREED) != 0) & dead
             if freed.any():
                 i = int(np.flatnonzero(freed)[0])
                 self._emit(
@@ -453,7 +595,7 @@ class Sanitizer:
         # and the RMW result is well-defined on the zeroed store; only
         # plain LD/FLD of never-written words are flagged).
         if op in _PLAIN_READS:
-            uninit = live & ~self._init[addrs]
+            uninit = live & ((f & _F_INIT) == 0)
             if uninit.any():
                 i = int(np.flatnonzero(uninit)[0])
                 self._emit(
@@ -466,7 +608,7 @@ class Sanitizer:
         # (see the module docstring): only plain accesses are checked, and
         # only against plain prior accesses.
         uid = warp.tb.san_uid
-        tid1 = warp.warp_index * WARP_SIZE + lanes + 1  # thread id + 1
+        tid1 = lanes + (warp.warp_index * WARP_SIZE + 1)  # thread id + 1
         epoch = self._epochs.get(uid, 0)
         # Accesses ordered before max(block start, last own atomic) are
         # launch- or acquire-ordered with respect to this block.
@@ -476,9 +618,9 @@ class Sanitizer:
 
         # Against the last plain writer of each word.
         if not atomic:
-            wb = self._w_block[addrs]
-            gate = (wb != _HOST) & ~self._w_atomic[addrs]
+            gate = (f & _F_W_PLAIN) != 0
             if gate.any():
+                wb = self._w_block[addrs]
                 same = wb == uid
                 conflict = gate & (self._w_cycle[addrs] > ordered_before) & (
                     (same & (self._w_thread[addrs] != tid1) & (self._w_epoch[addrs] == epoch))
@@ -501,9 +643,9 @@ class Sanitizer:
 
         # A plain write also races prior plain reads by other threads.
         if plain_write:
-            rb = self._r_block[addrs]
-            gate = (rb != _HOST) & ~self._r_atomic[addrs]
+            gate = (f & _F_R_PLAIN) != 0
             if gate.any():
+                rb = self._r_block[addrs]
                 same = rb == uid
                 conflict = gate & (self._r_cycle[addrs] > ordered_before) & (
                     (same & (self._r_thread[addrs] != tid1) & (self._r_epoch[addrs] == epoch))
@@ -524,38 +666,38 @@ class Sanitizer:
             # same word (same-value duplicates are the idempotent
             # flag-store idiom and execute deterministically).
             if addrs.size > 1:
-                uniq, counts = np.unique(addrs, return_counts=True)
-                dups = uniq[counts > 1]
-                if dups.size:
-                    for a in dups:
-                        sel = addrs == a
-                        vals = values[sel]
-                        if (vals != vals[0]).any():
-                            self._emit(
-                                warp, pc, cycle, "data-race", int(a), lanes[sel],
-                                f"multiple lanes of one warp store differing "
-                                f"values to word {int(a)} in the same "
-                                "instruction",
-                            )
-                            break
+                for a in _repeated(addrs):
+                    sel = addrs == a
+                    vals = values[sel]
+                    if (vals != vals[0]).any():
+                        self._emit(
+                            warp, pc, cycle, "data-race", int(a), lanes[sel],
+                            f"multiple lanes of one warp store differing "
+                            f"values to word {int(a)} in the same "
+                            "instruction",
+                        )
+                        break
 
         # ---------------- shadow update --------------------------------
         if is_write:
             self._w_block[addrs] = uid
             self._w_thread[addrs] = tid1
             self._w_epoch[addrs] = epoch
-            self._w_atomic[addrs] = atomic
             self._w_cycle[addrs] = cycle
             if values is not None:
                 self._w_value[addrs] = values
-            self._init[addrs] = True
         if is_read:
             self._r_block[addrs] = uid
             self._r_thread[addrs] = tid1
             self._r_epoch[addrs] = epoch
-            self._r_atomic[addrs] = atomic
             self._r_cycle[addrs] = cycle
-        if atomic or (is_read and self._w_atomic[addrs].any()):
+        if atomic:
+            self._flags[addrs] = _AFTER_ATOMIC[f]
+        elif is_write:
+            self._flags[addrs] = _AFTER_WRITE[f]
+        else:
+            self._flags[addrs] = _AFTER_READ[f]
+        if atomic or (is_read and (f & _F_W_ATOMIC).any()):
             # Acquire: an atomic of our own, or a plain read of an
             # atomically-updated word (observing a published counter, as
             # persistent-thread work queues do before reading the payload).
@@ -563,7 +705,7 @@ class Sanitizer:
 
     # ------------------------------------------------------------------
     def _check_shared(self, warp, pc, instr, mask, cycle) -> None:
-        lanes = np.flatnonzero(mask)
+        lanes = mask.nonzero()[0]
         if lanes.size == 0:
             return
         tb = warp.tb
@@ -586,26 +728,31 @@ class Sanitizer:
             )
             self._shared[uid] = shadow
         wt, we, rt, re = shadow
-        tid1 = warp.warp_index * WARP_SIZE + lanes + 1
+        tid1 = lanes + (warp.warp_index * WARP_SIZE + 1)
         epoch = self._epochs.get(uid, 0)
         is_write = instr.op is Opcode.STS
 
-        conflict = (wt[addrs] != 0) & (wt[addrs] != tid1) & (we[addrs] == epoch)
+        w_conflict = (wt[addrs] != 0) & (wt[addrs] != tid1) & (we[addrs] == epoch)
+        conflict = w_conflict
         if is_write:
-            conflict |= (rt[addrs] != 0) & (rt[addrs] != tid1) & (re[addrs] == epoch)
+            conflict = w_conflict | (
+                (rt[addrs] != 0) & (rt[addrs] != tid1) & (re[addrs] == epoch)
+            )
         if conflict.any():
             i = int(np.flatnonzero(conflict)[0])
             a = int(addrs[i])
+            # Name the accessor whose clause matched at the reported lane.
+            other = wt[a] if w_conflict[i] else rt[a]
             self._emit(
                 warp, pc, cycle, "shared-race", a, lanes[conflict],
                 f"{'store to' if is_write else 'load of'} shared word {a} "
-                f"conflicts with thread {int(wt[a]) - 1 if wt[a] else int(rt[a]) - 1} "
+                f"conflicts with thread {int(other) - 1} "
                 "with no barrier in between",
             )
         if is_write and addrs.size > 1:
-            uniq, counts = np.unique(addrs, return_counts=True)
-            if (counts > 1).any():
-                a = int(uniq[np.flatnonzero(counts > 1)[0]])
+            repeated = _repeated(addrs)
+            if repeated.size:
+                a = int(repeated[0])
                 self._emit(
                     warp, pc, cycle, "shared-race", a, lanes[addrs == a],
                     f"multiple lanes of one warp store to shared word {a} "
@@ -620,7 +767,7 @@ class Sanitizer:
             re[addrs] = epoch
 
     # ------------------------------------------------------------------
-    def _check_bar(self, warp, pc, mask, cycle) -> None:
+    def _check_bar(self, warp, pc, instr, mask, cycle) -> None:
         if np.array_equal(mask, warp.init_mask):
             return
         tb = warp.tb
@@ -639,7 +786,7 @@ class Sanitizer:
 
     # ------------------------------------------------------------------
     def _check_launch(self, warp, pc, instr, mask, cycle) -> None:
-        lanes = np.flatnonzero(mask)
+        lanes = mask.nonzero()[0]
         if lanes.size == 0:
             return
         if instr.kernel not in self._gpu.kernels:
@@ -670,3 +817,18 @@ class Sanitizer:
                 f"device launch block of {int(threads[i])} threads exceeds "
                 f"the SMX limit of {self._gpu.config.max_resident_threads}",
             )
+
+
+#: Per-opcode checks: every opcode :meth:`Sanitizer.observe` acts on.
+_OBSERVERS = {
+    Opcode.LD: Sanitizer._observe_load,
+    Opcode.FLD: Sanitizer._observe_load,
+    Opcode.ST: Sanitizer._check_global,
+    Opcode.FST: Sanitizer._check_global,
+    **{op: Sanitizer._observe_atomic for op in ATOMIC_OPS},
+    Opcode.LDS: Sanitizer._check_shared,
+    Opcode.STS: Sanitizer._check_shared,
+    Opcode.BAR: Sanitizer._check_bar,
+    Opcode.LAUNCH_DEVICE: Sanitizer._check_launch,
+    Opcode.LAUNCH_AGG: Sanitizer._check_launch,
+}

@@ -70,7 +70,7 @@ from ..sim.stats import LaunchRecord
 from ..sim.thread_block import ThreadBlock
 
 #: On-disk / in-memory checkpoint document format version.
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 #: File magic for checkpoint files.
 MAGIC = b"REPRO-CKPT\x00"
@@ -414,19 +414,15 @@ def _capture_sanitizer(san) -> Optional[dict]:
         return None
     return {
         "report": san.report.to_dict(),
-        "addressable": san._addressable.copy(),
-        "freed": san._freed.copy(),
-        "init": san._init.copy(),
+        "flags": san._flags.copy(),
         "w_block": san._w_block.copy(),
         "w_thread": san._w_thread.copy(),
         "w_epoch": san._w_epoch.copy(),
-        "w_atomic": san._w_atomic.copy(),
         "w_cycle": san._w_cycle.copy(),
         "w_value": san._w_value.copy(),
         "r_block": san._r_block.copy(),
         "r_thread": san._r_thread.copy(),
         "r_epoch": san._r_epoch.copy(),
-        "r_atomic": san._r_atomic.copy(),
         "r_cycle": san._r_cycle.copy(),
         "alive": san._alive.copy(),
         "start": san._start.copy(),
@@ -761,19 +757,15 @@ def _restore_sanitizer(san, data: Optional[dict]) -> None:
     if san is None:
         return
     san.report = SanitizerReport.from_dict(data["report"])
-    san._addressable = data["addressable"].copy()
-    san._freed = data["freed"].copy()
-    san._init = data["init"].copy()
+    san._flags = data["flags"].copy()
     san._w_block = data["w_block"].copy()
     san._w_thread = data["w_thread"].copy()
     san._w_epoch = data["w_epoch"].copy()
-    san._w_atomic = data["w_atomic"].copy()
     san._w_cycle = data["w_cycle"].copy()
     san._w_value = data["w_value"].copy()
     san._r_block = data["r_block"].copy()
     san._r_thread = data["r_thread"].copy()
     san._r_epoch = data["r_epoch"].copy()
-    san._r_atomic = data["r_atomic"].copy()
     san._r_cycle = data["r_cycle"].copy()
     san._alive = data["alive"].copy()
     san._start = data["start"].copy()

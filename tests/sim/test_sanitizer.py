@@ -165,6 +165,26 @@ class TestSharedRace:
         assert report.counts.get("shared-race", 0) > 0
         assert report.by_kind("shared-race")[0].address == 0
 
+    def test_race_with_prior_reader_names_the_reader(self):
+        # Thread 0's store is barrier-ordered; thread 1's read is not, so
+        # thread 33's store races the read and the detail must name it.
+        def scenario(dev):
+            k = KernelBuilder("smem_reader_race")
+            tid = k.tid()
+            with k.if_(k.eq(tid, 0)):
+                k.sts(0, tid)
+            k.bar()
+            with k.if_(k.eq(tid, 1)):
+                k.lds(0)
+            with k.if_(k.eq(tid, 33)):
+                k.sts(0, 5)
+            func = KernelFunction("smem_reader_race", k.build(), shared_words=4)
+            _launch(dev, func, grid=1, block=64)
+
+        report = run_both(scenario)
+        assert report.counts == {"shared-race": 1}
+        assert "conflicts with thread 1 with" in report.by_kind("shared-race")[0].detail
+
     def test_barriered_shared_exchange_is_clean(self):
         def scenario(dev):
             k = KernelBuilder("smem_ok")

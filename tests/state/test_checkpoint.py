@@ -30,6 +30,7 @@ from repro.state import (
     load_checkpoint,
     prepare_resume,
     quarantine_checkpoint,
+    restore_document,
     save_checkpoint,
 )
 from repro.workloads import get_benchmark
@@ -196,6 +197,16 @@ class TestValidation:
         dev, *_ = _build(list(range(64)), 3, 7, sanitize=False)
         with pytest.raises(CheckpointError):
             prepare_resume(dev.gpu, doc)
+
+    def test_restore_refuses_format_1_document(self):
+        # Format 1 stored the sanitizer's per-word bool shadows by name;
+        # format 2 packs them into one flags byte per word.
+        doc, _ = _capture_one()
+        dev, *_ = _build(list(range(64)), 3, 7)
+        with pytest.raises(CheckpointError, match="format"):
+            restore_document(dev.gpu, dict(doc, format=1))
+        with pytest.raises(CheckpointError, match="format"):
+            prepare_resume(dev.gpu, dict(doc, format=1))
 
     def test_prepare_resume_refuses_replay_already_past(self):
         doc, _ = _capture_one()

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import Device, ExecutionMode, GPUConfig, KernelBuilder, KernelFunction
+from repro.isa.instructions import GLOBAL_MEMORY_OPS, SHARED_MEMORY_OPS, Opcode
 from repro.workloads.registry import get_benchmark
 
 from tests.helpers import reduce_kernel
@@ -201,8 +202,8 @@ class TestMicroKernelDifferential:
 # ----------------------------------------------------------------------
 # Fusion-adversarial differentials: programs engineered so superblock
 # fusion must bail out (divergent entry, predicated branches splitting a
-# candidate run, regions abutting reconvergence points and barriers, the
-# sanitizer forcing per-instruction fallback) while staying stat-exact.
+# candidate run, regions abutting reconvergence points and barriers) while
+# staying stat-exact, with and without a sanitizer observing the run.
 # ----------------------------------------------------------------------
 def _decoded_region_starts(func: KernelFunction):
     from repro.sim.fast_warp import decode_program
@@ -317,8 +318,9 @@ class TestFusionAdversarial:
         ids=["div_entry", "reconv_bar"],
     )
     def test_sanitize_forces_fallback_identical_reports(self, make):
-        """sanitize=True disables fusion; stats AND SanitizerReports must
-        stay identical between the two cores."""
+        """sanitize=True keeps fusion and run-ahead (the sanitizer checks
+        no warp-private op); stats AND SanitizerReports must stay
+        identical between the two cores."""
         results = []
         for fast in (True, False):
             dev = Device(config=_config(fast), sanitize=True)
@@ -333,6 +335,75 @@ class TestFusionAdversarial:
                 (fingerprint(dev.stats), report.format(), dict(report.counts))
             )
         assert results[0] == results[1]
+
+
+#: Opcodes the sanitizer checks: the fast core calls observe() for these
+#: (decode klass 0 and 2) and skips it for warp-private ops.
+_CHECKED_OPS = (
+    GLOBAL_MEMORY_OPS
+    | SHARED_MEMORY_OPS
+    | {Opcode.BAR, Opcode.LAUNCH_DEVICE, Opcode.LAUNCH_AGG}
+)
+
+
+def test_private_ops_are_never_checked():
+    from repro.sim.fast_warp import _PRIVATE_OPS
+
+    assert not _PRIVATE_OPS & _CHECKED_OPS
+
+
+@pytest.mark.parametrize(
+    "make", [_divergent_entry_kernel, _reconv_barrier_kernel],
+    ids=["div_entry", "reconv_bar"],
+)
+def test_sanitized_fast_run_fuses_and_observes_checked_ops(make, monkeypatch):
+    """A sanitized fast run keeps multi-instruction windows, leaves the
+    stats of an unsanitized run unchanged, and feeds observe() the
+    checked ops the reference core issues, at the same cycles and in the
+    same order, and no warp-private op."""
+    from repro.sim.fast_warp import FastWarp
+    from repro.sim.sanitizer import Sanitizer
+
+    observed = []
+    observe = Sanitizer.observe
+
+    def recording(self, warp, pc, instr, mask, cycle):
+        observed.append((warp.tb.san_uid, warp.warp_index, pc, instr.op, cycle))
+        observe(self, warp, pc, instr, mask, cycle)
+
+    monkeypatch.setattr(Sanitizer, "observe", recording)
+    calls = [0]
+    for name in ("step", "step_window", "step_free_window"):
+        method = getattr(FastWarp, name)
+
+        def counting(self, *args, _method=method):
+            calls[0] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(FastWarp, name, counting)
+
+    def run(fast, sanitize):
+        dev = Device(config=_config(fast), sanitize=sanitize)
+        dev.register(make())
+        n = 300
+        data = dev.upload(np.arange(n, dtype=np.int64) % 97)
+        out = dev.alloc(n)
+        dev.launch(make().name, grid=5, block=64, params=[n, data, out])
+        dev.synchronize()
+        return fingerprint(dev.stats)
+
+    ref = run(False, True)
+    ref_checked = [entry for entry in observed if entry[3] in _CHECKED_OPS]
+    assert len(ref_checked) < len(observed)
+    del observed[:]
+    calls[0] = 0
+    sanitized = run(True, True)
+    assert [entry for entry in observed if entry[3] in _CHECKED_OPS] == ref_checked
+    # The only other ops the fast core observes are unchecked klass-0
+    # ones (EXIT here); observe() ignores them.
+    assert {entry[3] for entry in observed} - _CHECKED_OPS == {Opcode.EXIT}
+    assert calls[0] < sanitized["issued"]
+    assert sanitized == ref == run(True, False)
 
 
 def test_fast_core_is_default():
